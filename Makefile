@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check bench agg-bench bench-sched bench-wire bench-kv wire-smoke kv-smoke sched-stress trace-smoke watchdog-smoke fault-stress bench-allocs taskbench-smoke bench-taskbench bench-gate bench-gate-run bench-baseline lint
+.PHONY: build vet test race check bench agg-bench bench-sched bench-wire bench-kv wire-smoke kv-smoke sched-stress trace-smoke watchdog-smoke fault-stress bench-allocs taskbench-smoke bench-taskbench bench-gate bench-gate-run bench-baseline lint perfbench-check
 
 build:
 	$(GO) build ./...
@@ -75,8 +75,17 @@ kv-smoke:
 	@grep -q -- '--- PASS: TestKVSmokeFaultedLedgerExact' /tmp/kv-smoke.out || \
 		{ echo "check: TestKVSmokeFaultedLedgerExact did not run/pass" >&2; exit 1; }
 
+# The repository benchmark (perfbench/, BENCHMARK.json) is its own Go
+# module, so the root `go test ./...` never compiles it: without this
+# target, removing an exported name it uses breaks the benchmark with
+# no gate failing. Same module env as perfbench/run.sh (offline, local
+# toolchain, no workspace).
+PERFBENCH_ENV = GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS=-mod=mod
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test ./...
+
 # Tier-1 gate: everything that must stay green before a change lands.
-check: build vet race sched-stress taskbench-smoke fault-stress wire-smoke kv-smoke trace-smoke watchdog-smoke bench-allocs
+check: build vet race sched-stress taskbench-smoke fault-stress wire-smoke kv-smoke trace-smoke watchdog-smoke bench-allocs perfbench-check
 
 # Lint gate (CI `lint` job): formatting must be canonical and vet clean.
 lint:

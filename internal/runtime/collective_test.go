@@ -84,10 +84,21 @@ func TestCollectiveOversizedPayloads(t *testing.T) {
 
 // TestCollectiveSlotBytesValidated verifies that configs whose slot size
 // cannot even hold the chunk header are rejected up front instead of
-// dividing by zero in the chunking loop.
+// dividing by zero in the chunking loop. The same validation rejects a
+// request for the removed adaptive tuner (TuneMode other than "" or
+// "off") rather than silently ignoring it.
 func TestCollectiveSlotBytesValidated(t *testing.T) {
 	err := Run(Config{PEs: 2, Lamellae: LamellaeShmem, CollectiveSlotBytes: 4}, func(w *World) {})
 	if err == nil {
 		t.Fatal("expected config validation error for CollectiveSlotBytes=4")
+	}
+	for mode, ok := range map[string]bool{"": true, "off": true, "on": false, "observe": false} {
+		err := Config{PEs: 2, Lamellae: LamellaeShmem, TuneMode: mode}.withDefaults().validate()
+		if ok && err != nil {
+			t.Errorf("TuneMode %q rejected: %v", mode, err)
+		}
+		if !ok && err == nil {
+			t.Errorf("TuneMode %q accepted; want a validation error", mode)
+		}
 	}
 }

@@ -8,7 +8,6 @@ package runtime
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/fabric"
@@ -111,12 +110,9 @@ type Config struct {
 	// TraceRingCap overrides the per-PE telemetry event-ring capacity
 	// (rounded up to a power of two; 0 selects the 65536 default).
 	TraceRingCap int
-	// TuneMode selects the adaptive-tuning controller mode: "off" (static
-	// knobs, the default), "observe" (decisions emitted as telemetry but
-	// not applied), or "on" (aggregation thresholds and the retransmission
-	// floor adjust online from flush-reason counters, latency histograms,
-	// and wire retry rates). Empty reads LAMELLAR_TUNE from the
-	// environment.
+	// TuneMode must be "" or "off"; any other value fails validation.
+	//
+	// Deprecated: ignored; the adaptive tuner was removed.
 	TuneMode string
 	// WatchdogInterval is the stall-watchdog sampling period. 0 selects
 	// the default (250ms, or LAMELLAR_WATCHDOG_MS when set); negative
@@ -216,11 +212,6 @@ func (c Config) withDefaults() Config {
 	if c.DeliveryTimeout == 0 {
 		c.DeliveryTimeout = 20 * time.Second
 	}
-	if c.TuneMode == "" {
-		// LAMELLAR_TUNE applies process-wide (like the fault knobs) so the
-		// benchmark matrix can A/B the controller without editing Configs.
-		c.TuneMode = os.Getenv("LAMELLAR_TUNE")
-	}
 	if c.WatchdogInterval == 0 {
 		c.WatchdogInterval = 250 * time.Millisecond
 		if ms, ok := envInt("LAMELLAR_WATCHDOG_MS"); ok {
@@ -293,6 +284,9 @@ func (c Config) validate() error {
 	}
 	if c.CollectiveSlotBytes <= 8 {
 		return fmt.Errorf("runtime: CollectiveSlotBytes %d too small (need > 8 for the chunk header)", c.CollectiveSlotBytes)
+	}
+	if c.TuneMode != "" && c.TuneMode != "off" {
+		return fmt.Errorf("runtime: TuneMode %q not supported (the adaptive tuner was removed; use \"\" or \"off\")", c.TuneMode)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/recorder"
 )
 
 // Trace context must survive the reliable wire's retransmit/dedup
@@ -153,44 +154,15 @@ func TestWatchdogDetectsPartitionStall(t *testing.T) {
 	}
 }
 
-// The adaptive controller must see latency digests with NO telemetry
-// session: the always-on flight recorder supplies round-trip and
-// batch-age summaries in every LAMELLAR_TUNE mode.
-func TestTunerConsumesRecorderDigests(t *testing.T) {
+// WriteDiagnostics must render a parseable snapshot naming the oldest
+// outstanding ops and carrying non-empty recorder digests — with no
+// telemetry session required. The always-on recorder must hold the
+// round-trip digest the watchdog derives its stall threshold from and
+// the batch-age digest the dump reports.
+func TestDiagnosticSnapshot(t *testing.T) {
 	if telemetry.Enabled() {
 		t.Fatal("test requires no live telemetry session")
 	}
-	cfg := Config{PEs: 2, WorkersPerPE: 2, Lamellae: LamellaeSim}
-	err := Run(cfg, func(w *World) {
-		w.Barrier()
-		if w.MyPE() == 0 {
-			for i := 0; i < 50; i++ {
-				if _, err := BlockOn(w, ExecTyped[uint64](w, 1, &echoAM{X: uint64(i)})); err != nil {
-					panic(err)
-				}
-			}
-		}
-		w.Barrier()
-		if w.MyPE() == 0 {
-			sample := w.env.buildSample(tuneSnap{}, w.env.tuneSnapshot(), time.Second)
-			if sample.RoundTrip.Count == 0 || sample.RoundTrip.P90 <= 0 {
-				panic("tuning sample has no round-trip digest without a telemetry session")
-			}
-			if sample.FlushAge.Count == 0 {
-				panic("tuning sample has no flush-age digest without a telemetry session")
-			}
-		}
-		w.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// WriteDiagnostics must render a parseable snapshot naming the oldest
-// outstanding ops and carrying non-empty recorder digests — with no
-// telemetry session required.
-func TestDiagnosticSnapshot(t *testing.T) {
 	cfg := Config{PEs: 2, WorkersPerPE: 2, Lamellae: LamellaeSim}
 	err := Run(cfg, func(w *World) {
 		w.Barrier()
@@ -214,6 +186,12 @@ func TestDiagnosticSnapshot(t *testing.T) {
 			rt := snap.Recorder.PEs[0].Hists["am_round_trip_ns"]
 			if rt.Count == 0 || rt.P99Ns <= 0 {
 				panic("diagnostic dump carries no round-trip digest")
+			}
+			if age := snap.Recorder.PEs[0].Hists["batch_age_ns"]; age.Count == 0 {
+				panic("diagnostic dump carries no batch-age digest")
+			}
+			if h := w.env.rec.PE(0).Hist(recorder.HistRoundTrip); h.Count() == 0 || h.Quantile(0.99) <= 0 {
+				panic("recorder has no round-trip digest for the watchdog")
 			}
 			if snap.Worlds[0].Issued == 0 {
 				panic("diagnostic dump shows zero issued AMs")

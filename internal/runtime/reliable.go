@@ -270,23 +270,14 @@ type relLamellae struct {
 	retryInterval time.Duration
 	backoffMax    time.Duration
 	deliveryTO    time.Duration // <= 0: never give up
-	// retryFloor, when non-nil, is the live retransmission floor (ns) the
-	// adaptive tuning controller adjusts; nil or zero falls back to the
-	// configured retryInterval. It seeds the RTO for streams with no RTT
-	// samples yet — measured streams use their own estimator.
-	retryFloor *atomic.Int64
 
 	// Flow-control configuration (Config.Wire*, env LAMELLAR_WIRE_*).
-	windowFrames int   // frame-window cap; <= 0 disables windowing
+	windowFrames int   // frame-window cap; 0 disables windowing
 	windowBytes  int   // byte-window cap at full frame window
 	ackEvery     int   // coalesce: ack after K in-order deliveries
 	ackHoldoffNs int64 // coalesce: or after this holdoff, whichever first
 	oooWindow    uint64
 	rtoMinNs     int64
-	// capFrames/capBytes, when non-nil, are the live window caps the
-	// adaptive tuning controller adjusts (LAMELLAR_TUNE=on).
-	capFrames *atomic.Int64
-	capBytes  *atomic.Int64
 
 	// rec, when non-nil, receives wire round-trip samples (HistWireRTT)
 	// and seeds cold streams' RTO from the recorded digest.
@@ -330,8 +321,11 @@ func newRelLamellae(cfg Config, deliver deliverFn, giveUp undeliverableFn) *relL
 		drainKick:     make(chan struct{}, 1),
 		stop:          make(chan struct{}),
 	}
-	if r.windowFrames < 0 {
-		r.windowFrames = 0 // windowing disabled
+	if r.windowFrames <= 0 {
+		r.windowFrames, r.windowBytes = 0, 0 // windowing disabled
+	} else {
+		r.windowFrames = max(r.windowFrames, minWindowFrames)
+		r.windowBytes = max(r.windowBytes, minWindowBytes)
 	}
 	if cfg.WireOOOWindow > 0 {
 		r.oooWindow = uint64(cfg.WireOOOWindow)
@@ -362,37 +356,11 @@ func (r *relLamellae) start(inner lamellae) {
 
 func (r *relLamellae) name() LamellaeKind { return r.inner.name() }
 
-// windowCaps reports the live (frames, bytes) window caps: the tuner's
-// cells when installed, the static configuration otherwise. Zero frames
-// means windowing is disabled.
-func (r *relLamellae) windowCaps() (capF, capB int) {
-	capF, capB = r.windowFrames, r.windowBytes
-	if capF <= 0 {
-		return 0, 0
-	}
-	if r.capFrames != nil {
-		if v := r.capFrames.Load(); v > 0 {
-			capF = int(v)
-		}
-	}
-	if r.capBytes != nil {
-		if v := r.capBytes.Load(); v > 0 {
-			capB = int(v)
-		}
-	}
-	if capF < minWindowFrames {
-		capF = minWindowFrames
-	}
-	if capB < minWindowBytes {
-		capB = minWindowBytes
-	}
-	return capF, capB
-}
-
 // admitLocked reports whether one more frame of frameLen bytes fits the
 // stream's current congestion window. At least one frame is always
 // admitted so an oversized frame cannot stall forever. Caller holds p.mu.
-func (r *relLamellae) admitLocked(p *relPair, frameLen, capF, capB int) bool {
+func (r *relLamellae) admitLocked(p *relPair, frameLen int) bool {
+	capF := r.windowFrames
 	if capF == 0 {
 		return true // windowing disabled
 	}
@@ -408,7 +376,7 @@ func (r *relLamellae) admitLocked(p *relPair, frameLen, capF, capB int) bool {
 		return false
 	}
 	// Byte budget scales with the frame window: cwnd/capF of the byte cap.
-	budget := int(int64(capB) * int64(cwnd) / int64(capF))
+	budget := int(int64(r.windowBytes) * int64(cwnd) / int64(capF))
 	if budget < minWindowBytes {
 		budget = minWindowBytes
 	}
@@ -447,7 +415,7 @@ func (r *relLamellae) rtoFor(p *relPair, src int) int64 {
 			return rto
 		}
 	}
-	return int64(r.floorNow())
+	return int64(r.retryInterval)
 }
 
 // send frames msg, retains it for retransmission, and transmits — or, when
@@ -466,9 +434,8 @@ func (r *relLamellae) send(src, dst int, msg []byte) error {
 	}
 	copy(buf[wireHeaderBytes:], msg)
 	now := telemetry.MonoNow()
-	capF, capB := r.windowCaps()
 	p.mu.Lock()
-	r.pruneLocked(p, src, capF)
+	r.pruneLocked(p, src)
 	fr := framePool.Get().(*relFrame)
 	fr.seq = p.nextSeq
 	fr.buf = buf
@@ -482,7 +449,7 @@ func (r *relLamellae) send(src, dst int, msg []byte) error {
 	e := frameRef{fr: fr, gen: fr.gen}
 	// Launch immediately only when nothing older is parked (FIFO) and the
 	// window admits it; otherwise park for the drain path.
-	if len(p.pending) == 0 && r.admitLocked(p, len(buf), capF, capB) {
+	if len(p.pending) == 0 && r.admitLocked(p, len(buf)) {
 		r.startFlightLocked(p, src, dst, e, now)
 	} else {
 		p.pending = append(p.pending, e)
@@ -491,7 +458,7 @@ func (r *relLamellae) send(src, dst int, msg []byte) error {
 	// Backpressure: block while the parked queue exceeds the window cap.
 	// Acks arrive via transport goroutines that never take p.mu, so the
 	// drain goroutine can always free space and wake us.
-	for capF > 0 && len(p.pending) > capF {
+	for r.windowFrames > 0 && len(p.pending) > r.windowFrames {
 		if p.wake == nil {
 			p.wake = make(chan struct{})
 		}
@@ -511,11 +478,11 @@ func (r *relLamellae) send(src, dst int, msg []byte) error {
 // drainPairLocked launches parked frames into whatever window space is
 // available and wakes blocked senders once the pending queue is back
 // under the cap. Caller holds p.mu.
-func (r *relLamellae) drainPairLocked(p *relPair, src, dst int, nowNs int64, capF, capB int) {
+func (r *relLamellae) drainPairLocked(p *relPair, src, dst int, nowNs int64) {
 	i := 0
 	for i < len(p.pending) {
 		fr := p.pending[i].frame()
-		if !r.admitLocked(p, len(fr.buf), capF, capB) {
+		if !r.admitLocked(p, len(fr.buf)) {
 			break
 		}
 		r.startFlightLocked(p, src, dst, p.pending[i], nowNs)
@@ -525,7 +492,7 @@ func (r *relLamellae) drainPairLocked(p *relPair, src, dst int, nowNs int64, cap
 	if i > 0 {
 		p.pending = append(p.pending[:0], p.pending[i:]...)
 	}
-	if p.wake != nil && (capF == 0 || len(p.pending) <= capF) {
+	if p.wake != nil && (r.windowFrames == 0 || len(p.pending) <= r.windowFrames) {
 		close(p.wake)
 		p.wake = nil
 	}
@@ -539,7 +506,6 @@ func (r *relLamellae) drainPairLocked(p *relPair, src, dst int, nowNs int64, cap
 // stuck link lets a frame's age grow.
 func (r *relLamellae) unackedFrames(src int) (total int, oldest time.Duration) {
 	now := telemetry.MonoNow()
-	capF, _ := r.windowCaps()
 	var oldestNs int64
 	for dst := 0; dst < r.npes; dst++ {
 		if dst == src {
@@ -547,7 +513,7 @@ func (r *relLamellae) unackedFrames(src int) (total int, oldest time.Duration) {
 		}
 		p := r.pairs[src][dst]
 		p.mu.Lock()
-		r.pruneLocked(p, src, capF)
+		r.pruneLocked(p, src)
 		total += len(p.unacked) + len(p.pending)
 		if len(p.unacked) > 0 {
 			if age := now - p.unacked[0].frame().firstNs; age > oldestNs {
@@ -599,17 +565,6 @@ func (r *relLamellae) maxRTO(src int) int64 {
 	return max
 }
 
-// floorNow reports the static initial retransmission timeout used before
-// a stream has RTT samples.
-func (r *relLamellae) floorNow() time.Duration {
-	if r.retryFloor != nil {
-		if ns := r.retryFloor.Load(); ns > 0 {
-			return time.Duration(ns)
-		}
-	}
-	return r.retryInterval
-}
-
 // releaseFrame recycles one retained frame: slab buffer back to its size
 // class, frame struct back to framePool with its generation bumped so any
 // stale frameRef trips the guard. The caller must hold the only live
@@ -626,7 +581,7 @@ func (r *relLamellae) releaseFrame(e frameRef) {
 // slab/frame pools, credits the congestion window for cleanly acked
 // frames, and feeds Karn-valid round trips into the stream's RTT
 // estimator. Caller holds p.mu.
-func (r *relLamellae) pruneLocked(p *relPair, src, capF int) {
+func (r *relLamellae) pruneLocked(p *relPair, src int) {
 	acked := p.ackedTo.Load()
 	ackNs := p.ackNs.Load()
 	i, sampled := 0, false
@@ -646,8 +601,8 @@ func (r *relLamellae) pruneLocked(p *relPair, src, capF int) {
 	}
 	if i > 0 {
 		p.unacked = append(p.unacked[:0], p.unacked[i:]...)
-		if capF > 0 {
-			p.win.onAck(i, capF)
+		if r.windowFrames > 0 {
+			p.win.onAck(i, r.windowFrames)
 		}
 	}
 	if sampled {
@@ -953,7 +908,6 @@ func (r *relLamellae) drainLoop() {
 		// delay from now; -1 when none.
 		wait := int64(-1)
 		now := telemetry.MonoNow()
-		capF, capB := r.windowCaps()
 		for pe := 0; pe < r.npes; pe++ {
 			for peer := 0; peer < r.npes; peer++ {
 				if pe == peer {
@@ -962,11 +916,11 @@ func (r *relLamellae) drainLoop() {
 				p := r.pairs[pe][peer]
 				if p.needDrain.Swap(false) {
 					p.mu.Lock()
-					r.pruneLocked(p, pe, capF)
+					r.pruneLocked(p, pe)
 					if p.fastRetx.Swap(false) {
 						r.fastRetransmitLocked(p, pe, peer, now)
 					}
-					r.drainPairLocked(p, pe, peer, now, capF, capB)
+					r.drainPairLocked(p, pe, peer, now)
 					p.mu.Unlock()
 				}
 				rs := r.recv[pe][peer]
@@ -1112,13 +1066,12 @@ func (r *relLamellae) retryLoop() {
 // parked frames into whatever window space the sweep freed.
 func (r *relLamellae) sweepPair(src, dst int, nowNs int64) {
 	p := r.pairs[src][dst]
-	capF, capB := r.windowCaps()
 	p.mu.Lock()
 	if len(p.unacked) == 0 && len(p.pending) == 0 {
 		p.mu.Unlock()
 		return
 	}
-	r.pruneLocked(p, src, capF)
+	r.pruneLocked(p, src)
 	// Fresh selective-ack hint, if any: expired frames the peer advertises
 	// holding get their timer re-armed instead of a retransmission —
 	// re-sending them would be go-back-N waste when the link needs only
@@ -1152,7 +1105,7 @@ func (r *relLamellae) sweepPair(src, dst int, nowNs int64) {
 		}
 		fr.deadlineNs = nowNs + fr.backoffNs
 		fr.sentNs = nowNs
-		if capF > 0 {
+		if r.windowFrames > 0 {
 			p.win.onLoss(fr.seq, p.nextSeq)
 		}
 		r.counters[src].retries.Add(1)
@@ -1184,7 +1137,7 @@ func (r *relLamellae) sweepPair(src, dst int, nowNs int64) {
 		}
 		p.pending = keepP
 	}
-	r.drainPairLocked(p, src, dst, nowNs, capF, capB)
+	r.drainPairLocked(p, src, dst, nowNs)
 	p.mu.Unlock()
 	// Reconcile outside the pair lock: the handler touches world state
 	// (futures, completion accounting) and must not nest under it.

@@ -213,6 +213,27 @@ func TestChainedAMsQuiesce(t *testing.T) {
 	}
 }
 
+// A double-credited completion (completed > issued) must fail loudly,
+// naming the PE and both counts and attaching the diagnostic dump,
+// instead of wrapping the unsigned quiescence difference and spinning
+// WaitAll/finalize forever.
+func TestCompletedOverIssuedPanics(t *testing.T) {
+	err := Run(Config{PEs: 1, WorkersPerPE: 1}, func(w *World) {
+		w.completed.Add(1)    // forge a double credit
+		defer w.issued.Add(1) // rebalance so finalize can quiesce
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "PE0 completed 1 AMs but issued only 0") || !strings.Contains(msg, `"worlds"`) {
+				t.Errorf("WaitAll with completed > issued recovered %q; want a panic naming PE0, both counts and the diagnostic dump", msg)
+			}
+		}()
+		w.WaitAll()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBigPayloadFragmentation(t *testing.T) {
 	// payload far larger than staging/4 forces multi-fragment reassembly
 	cfg := Config{PEs: 2, WorkersPerPE: 2, Lamellae: LamellaeSim, StagingBytes: 1 << 20}

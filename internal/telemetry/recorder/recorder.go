@@ -11,9 +11,8 @@
 //
 // Three consumers read it:
 //
-//   - the adaptive tuner (internal/tuning) reads the round-trip and
-//     batch-age digests in every LAMELLAR_TUNE mode, closing the gap
-//     where latency-bound decisions were blind without a live session;
+//   - the reliable wire seeds cold streams' retransmission timeout from
+//     the wire round-trip digest;
 //   - the stall watchdog derives its "N× p99" stall thresholds from the
 //     round-trip histogram;
 //   - diagnostic dumps (World.WriteDiagnostics, the LAMELLAR_DIAG
