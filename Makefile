@@ -110,11 +110,15 @@ bench:
 # the alloc count is deterministic (the aggregated hot path): the
 # taskbench cell's allocs jitter ±2 with goroutine timing, which would
 # false-positive an any-increase ratchet.
+#
+# -cpu 1 pins GOMAXPROCS to the baseline's condition: bench_baseline.txt
+# names carry no -N suffix, so it was recorded at GOMAXPROCS=1, and the
+# aggregated path's allocs/op differ at higher settings.
 BENCH_GATE_OUT ?= /tmp/bench-gate-new.txt
 bench-gate-run:
-	$(GO) test -run xxx -bench 'BenchmarkAtomicOpsAggregated$$' -benchtime=120x -benchmem -count=5 . > $(BENCH_GATE_OUT)
-	$(GO) test -run xxx -bench 'InjectorPop' -benchtime=200000x -count=5 ./internal/scheduler >> $(BENCH_GATE_OUT)
-	$(GO) test -run xxx -bench 'BenchmarkGateCalibrate$$|BenchmarkTaskBenchCellStencil$$' -benchtime=5x -count=5 ./internal/bench >> $(BENCH_GATE_OUT)
+	$(GO) test -run xxx -bench 'BenchmarkAtomicOpsAggregated$$' -benchtime=120x -benchmem -count=5 -cpu 1 . > $(BENCH_GATE_OUT)
+	$(GO) test -run xxx -bench 'InjectorPop' -benchtime=200000x -count=5 -cpu 1 ./internal/scheduler >> $(BENCH_GATE_OUT)
+	$(GO) test -run xxx -bench 'BenchmarkGateCalibrate$$|BenchmarkTaskBenchCellStencil$$' -benchtime=5x -count=5 -cpu 1 ./internal/bench >> $(BENCH_GATE_OUT)
 
 bench-gate: bench-gate-run
 	$(GO) run ./cmd/lamellar-bench gate -baseline bench_baseline.txt -new $(BENCH_GATE_OUT)

@@ -300,9 +300,10 @@ func BenchmarkSchedSkewedProducer(b *testing.B) {
 	b.ReportMetric(float64(stolen)/float64(b.N), "steals/op")
 }
 
-// BenchmarkSchedQueueWait runs a burst workload with telemetry live and
-// reports the task queue-wait p50/p99 (submit→start latency) from
-// HistQueueWait — the acceptance metric for the executor rewrite.
+// BenchmarkSchedQueueWait runs a burst workload with telemetry live (so
+// every task is stamped, not 1 in 64) and reports the task queue-wait
+// p50/p99 (submit→start latency) from the pool's queue-wait histogram —
+// the acceptance metric for the executor rewrite.
 func BenchmarkSchedQueueWait(b *testing.B) {
 	c, owner := telemetry.StartGlobal(1, 1<<16)
 	if owner {
@@ -310,6 +311,8 @@ func BenchmarkSchedQueueWait(b *testing.B) {
 	}
 	p := scheduler.NewPool(4)
 	defer p.Close()
+	var h telemetry.Histogram
+	p.SetQueueWaitRecorder(&h)
 	var sink atomic.Uint64
 	task := func() {
 		var x uint64 = 2463534242
@@ -326,7 +329,6 @@ func BenchmarkSchedQueueWait(b *testing.B) {
 	}
 	p.Quiesce()
 	b.StopTimer()
-	h := c.Hist(0, telemetry.HistQueueWait)
 	b.ReportMetric(float64(h.Quantile(0.5)), "qwait-p50-ns")
 	b.ReportMetric(float64(h.Quantile(0.99)), "qwait-p99-ns")
 }

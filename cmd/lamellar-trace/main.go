@@ -11,8 +11,10 @@
 // telemetry subsystem and exports a Chrome trace-event JSON timeline —
 // open it at ui.perfetto.dev (or chrome://tracing) to see one track per
 // PE×worker of task, AM, aggregation, and fabric activity. -metrics
-// appends a Prometheus-style text dump of the telemetry counters and
-// latency histograms:
+// appends the world's Prometheus text dump (World.WritePrometheus:
+// Stats counters, flight-recorder latency histograms and health counts
+// of every PE), written on PE 0 before the world exits; it needs no
+// -timeline:
 //
 //	lamellar-trace -kernel histo -timeline /tmp/histo.json -metrics
 //
@@ -43,7 +45,7 @@ func main() {
 		bufI     = flag.Int("buf", 2_000, "aggregation buffer limit in operations")
 		workers  = flag.Int("workers", 4, "threads per multithreaded PE")
 		timeline = flag.String("timeline", "", "write a Perfetto-loadable Chrome trace-event JSON timeline to this path")
-		metrics  = flag.Bool("metrics", false, "print a Prometheus-style dump of telemetry counters and histograms")
+		metrics  = flag.Bool("metrics", false, "print the world's Prometheus dump (Stats counters, recorder latency histograms, health counts) taken on PE 0 before exit")
 		critPath = flag.Bool("critical-path", false, "run an aggregated fetch-add workload and decompose round-trip latency from the flow-linked trace")
 		ops      = flag.Int("ops", 256, "awaited fetch-adds per PE in -critical-path mode")
 	)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -140,12 +141,12 @@ type TraceOpts struct {
 	// subsystem enabled and writes the Chrome trace-event JSON timeline
 	// (Perfetto-loadable) to this path, validating that it parses.
 	Timeline string
-	// Metrics, when set, appends a Prometheus-style text dump of the
-	// telemetry counters and histograms to the output writer.
+	// Metrics, when set, appends the world's Prometheus text dump
+	// (World.WritePrometheus: Stats counters, flight-recorder histograms
+	// and health counts of every PE) to the output writer. It needs no
+	// telemetry session.
 	Metrics bool
 }
-
-func (o TraceOpts) telemetryOn() bool { return o.Timeline != "" || o.Metrics }
 
 // RunTrace executes one kernel implementation under the trace collector
 // and renders the profile.
@@ -203,13 +204,13 @@ func traceOne(fn kernels.KernelFunc, name string, cores int, cfg KernelFigConfig
 		Lamellae:       runtime.LamellaeSim,
 		Cost:           fabric.DefaultCostModel(),
 		ArrayBatchSize: params.BufItems,
-		Telemetry:      opts.telemetryOn(),
+		Telemetry:      opts.Timeline != "",
 	}
 	// Own the telemetry session here rather than letting the world own
 	// it: the rings must survive runtime.Run so they can be exported (and
 	// the written timeline validated) at full quiescence.
 	var tc *telemetry.Collector
-	if opts.telemetryOn() {
+	if opts.Timeline != "" {
 		var owned bool
 		tc, owned = telemetry.StartGlobal(pes, 0)
 		if owned {
@@ -217,6 +218,8 @@ func traceOne(fn kernels.KernelFunc, name string, cores int, cfg KernelFigConfig
 		}
 	}
 	tr := NewTrace(pes)
+	var metrics bytes.Buffer
+	var merr error
 	err := runtime.Run(rcfg, func(w *runtime.World) {
 		w.Barrier()
 		if w.MyPE() == 0 {
@@ -229,6 +232,9 @@ func traceOne(fn kernels.KernelFunc, name string, cores int, cfg KernelFigConfig
 		w.Barrier()
 		if w.MyPE() == 0 {
 			w.Provider().SetHook(nil)
+			if opts.Metrics {
+				merr = w.WritePrometheus(&metrics)
+			}
 		}
 	})
 	if err != nil {
@@ -248,8 +254,11 @@ func traceOne(fn kernels.KernelFunc, name string, cores int, cfg KernelFigConfig
 		fmt.Fprintf(out, "\ntimeline: %s (%d events, %d flows, %d dropped)\n", opts.Timeline, n, flows, dropped)
 	}
 	if opts.Metrics {
-		fmt.Fprintf(out, "\n# telemetry metrics\n")
-		if err := tc.WritePrometheus(out); err != nil {
+		if merr != nil {
+			return merr
+		}
+		fmt.Fprintf(out, "\n# runtime metrics\n")
+		if _, err := metrics.WriteTo(out); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,7 @@
 // Package envknob centralizes LAMELLAR_* environment-knob parsing.
 //
 // Before it existed every package rolled its own reader and most of them
-// silently ignored malformed values — a typo'd LAMELLAR_WIRE_WINDOW=1o
+// silently ignored malformed values — a typo'd LAMELLAR_AGG_SIZE=1o
 // fell back to the default with no signal, which in a benchmark run reads
 // as "the knob made no difference". Every helper here routes parse failures
 // through the diag logger as warnings instead, and boolean knobs accept

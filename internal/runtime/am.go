@@ -404,7 +404,7 @@ func (w *World) resolveReturn(src int, req uint64, v any, err error) {
 		now := telemetry.MonoNow()
 		rt := now - e.issueNs
 		// Round-trip latency always feeds the flight recorder; a live
-		// session additionally gets the event + session histogram.
+		// session additionally gets the event.
 		w.env.rec.PE(w.pe).Record(recorder.HistRoundTrip, rt)
 		if telemetry.Enabled() {
 			if c := telemetry.C(); c != nil {
@@ -414,7 +414,6 @@ func (w *World) resolveReturn(src int, req uint64, v any, err error) {
 					Arg1: int64(src), Arg2: int64(req),
 					Flow: e.span.Span,
 				})
-				c.Hist(w.pe, telemetry.HistAMRoundTrip).Record(rt)
 			}
 		}
 	}
@@ -488,10 +487,9 @@ func (w *World) enqueue(dst int, body []byte) {
 }
 
 // noteBatchFlush records one wire batch leaving this PE: always counted
-// for Stats and recorded into the flight recorder's batch-age digest
-// (read by diagnostic dumps), and — when a telemetry session is active
-// — emitted as an agg.flush span covering the queue's open→flush age,
-// which also feeds the session's flush-interval histogram.
+// for Stats and recorded into the flight recorder's batch-age digest,
+// and — when a telemetry session is active — emitted as an agg.flush
+// span covering the queue's open→flush age.
 func (w *World) noteBatchFlush(dst int, reason telemetry.FlushReason, envs int, openNs int64, tc *telemetry.Collector) {
 	w.batchesSent.Add(1)
 	w.batchReasons[reason].Add(1)
@@ -504,7 +502,6 @@ func (w *World) noteBatchFlush(dst int, reason telemetry.FlushReason, envs int, 
 	if tc == nil {
 		return
 	}
-	tc.Hist(w.pe, telemetry.HistFlushInterval).Record(dur)
 	tc.Emit(telemetry.Event{
 		TS: now - dur, Dur: dur, Kind: telemetry.EvBatchFlush, Sub: uint8(reason),
 		PE: int32(w.pe), Worker: telemetry.TidRuntime,

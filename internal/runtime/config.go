@@ -126,33 +126,27 @@ type Config struct {
 	// WireWindowFrames caps each (src,dst) stream's AIMD congestion
 	// window in frames: at most this many unacked frames in flight, with
 	// further frames parking on a per-stream pending queue and senders
-	// blocking (backpressure) once the queue exceeds the cap. 0 selects
-	// the default (256, or LAMELLAR_WIRE_WINDOW); negative disables
-	// windowing entirely (the pre-flow-control unbounded behavior).
+	// blocking (backpressure) once the queue exceeds the cap. Windowing
+	// is always on; values <= 0 select the default 256 (floored at 8).
+	// The in-flight byte budget scales with the window up to 16 MiB at
+	// the full frame cap.
 	WireWindowFrames int
-	// WireWindowBytes caps the in-flight byte budget at full frame
-	// window; the live budget scales with the congestion window. Default
-	// 16 MiB (LAMELLAR_WIRE_WINDOW_BYTES) — 256 max-size batch frames,
-	// so by default the byte budget binds only when frames are large and
-	// the frame window governs otherwise.
-	WireWindowBytes int
 	// WireAckEvery coalesces cumulative acks: one ack per this many
 	// in-order deliveries (or after WireAckHoldoff, whichever first).
-	// Default 4 (LAMELLAR_WIRE_ACK_EVERY); 1 acks every frame.
+	// Default 4; 1 acks every frame.
 	WireAckEvery int
 	// WireAckHoldoff bounds how long an owed coalesced ack may wait for
-	// more deliveries (or reverse traffic to piggyback on). Default 250µs
-	// (LAMELLAR_WIRE_ACK_HOLDOFF_US).
+	// more deliveries (or reverse traffic to piggyback on). Default 250µs.
 	WireAckHoldoff time.Duration
 	// WireOOOWindow bounds each receive stream's out-of-order buffer:
 	// frames more than this many sequence numbers ahead of the next
 	// expected one are dropped (the sender's timeout repairs them) so
-	// sustained reordering cannot grow memory. Default 1024
-	// (LAMELLAR_WIRE_OOO); negative disables the bound.
+	// sustained reordering cannot grow memory. Values <= 0 select the
+	// default 1024.
 	WireOOOWindow int
 	// WireRTOMin floors the RTT-adaptive retransmission timeout so
 	// microsecond-scale local round trips cannot produce a hair-trigger
-	// RTO. Default 500µs (LAMELLAR_WIRE_RTO_MIN_US).
+	// RTO. Default 500µs.
 	WireRTOMin time.Duration
 }
 
@@ -225,44 +219,20 @@ func (c Config) withDefaults() Config {
 	if c.WatchdogStallFactor <= 0 {
 		c.WatchdogStallFactor = 8
 	}
-	// Wire flow-control knobs: the LAMELLAR_WIRE_* env overrides apply
-	// process-wide (like the fault knobs) so the fault/bench matrix can
-	// A/B the windowing machinery without editing Configs.
-	if c.WireWindowFrames == 0 {
+	if c.WireWindowFrames <= 0 {
 		c.WireWindowFrames = 256
-		if v, ok := envInt("LAMELLAR_WIRE_WINDOW"); ok && v != 0 {
-			c.WireWindowFrames = v
-		}
-	}
-	if c.WireWindowBytes <= 0 {
-		c.WireWindowBytes = 16 << 20
-		if v, ok := envInt("LAMELLAR_WIRE_WINDOW_BYTES"); ok && v > 0 {
-			c.WireWindowBytes = v
-		}
 	}
 	if c.WireAckEvery <= 0 {
 		c.WireAckEvery = 4
-		if v, ok := envInt("LAMELLAR_WIRE_ACK_EVERY"); ok && v > 0 {
-			c.WireAckEvery = v
-		}
 	}
 	if c.WireAckHoldoff <= 0 {
 		c.WireAckHoldoff = 250 * time.Microsecond
-		if v, ok := envInt("LAMELLAR_WIRE_ACK_HOLDOFF_US"); ok && v > 0 {
-			c.WireAckHoldoff = time.Duration(v) * time.Microsecond
-		}
 	}
-	if c.WireOOOWindow == 0 {
+	if c.WireOOOWindow <= 0 {
 		c.WireOOOWindow = 1024
-		if v, ok := envInt("LAMELLAR_WIRE_OOO"); ok && v != 0 {
-			c.WireOOOWindow = v
-		}
 	}
 	if c.WireRTOMin <= 0 {
 		c.WireRTOMin = 500 * time.Microsecond
-		if v, ok := envInt("LAMELLAR_WIRE_RTO_MIN_US"); ok && v > 0 {
-			c.WireRTOMin = time.Duration(v) * time.Microsecond
-		}
 	}
 	if c.Faults == nil {
 		// LAMELLAR_FAULT_* knobs apply process-wide so the existing test

@@ -47,12 +47,9 @@ type OutstandingOp struct {
 
 // PEDiag is one PE's slice of a diagnostic snapshot.
 type PEDiag struct {
-	PE int `json:"pe"`
-	// Issued/Completed mirror Stats; their gap is the in-flight count.
-	Issued    uint64 `json:"issued"`
-	Completed uint64 `json:"completed"`
-	// Health tallies watchdog flags by kind name (omitted kinds are 0).
-	Health map[string]uint64 `json:"health,omitempty"`
+	// Stats is the PE's counter snapshot; Issued−Completed is the
+	// in-flight count and Health the watchdog's findings by kind.
+	Stats `json:"stats"`
 	// Outstanding lists the oldest outstanding ops, oldest first (≤5).
 	Outstanding []OutstandingOp `json:"outstanding,omitempty"`
 	// WaitingMs is how long the PE has been blocked in WaitAll (0 = not).
@@ -94,23 +91,9 @@ func (env *worldEnv) diagSnapshot() DiagSnapshot {
 		Worlds:   make([]PEDiag, len(env.worlds)),
 	}
 	for pe, w := range env.worlds {
-		pd := PEDiag{
-			PE:          pe,
-			Issued:      w.issued.Load(),
-			Completed:   w.completed.Load(),
-			Outstanding: w.topOutstanding(now, 5),
-		}
+		pd := PEDiag{Stats: w.Stats(), Outstanding: w.topOutstanding(now, 5)}
 		if since := w.waitingSince.Load(); since != 0 {
 			pd.WaitingMs = (now - since) / 1e6
-		}
-		h := w.Health()
-		for k, n := range h {
-			if n != 0 {
-				if pd.Health == nil {
-					pd.Health = make(map[string]uint64)
-				}
-				pd.Health[telemetry.HealthKind(k).String()] = n
-			}
 		}
 		snap.Worlds[pe] = pd
 	}

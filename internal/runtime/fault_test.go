@@ -235,16 +235,15 @@ func TestPartitionSurfacesDeliveryError(t *testing.T) {
 	}
 }
 
-// Wire counters must surface through every reporting channel: the
-// Stats wire(...) segment, StatsReport, and the Prometheus dump's
-// lamellar_events_total series.
+// Wire counters must surface through every reporting channel with no
+// telemetry session: the Stats fields, the Stats wire(...) segment, and
+// the world's Prometheus dump.
 func TestWireCountersInTelemetryAndProm(t *testing.T) {
 	testCounter.Store(0)
 	plan := fabric.NewFaultPlan(5).SetDefault(fabric.LinkFaults{DropRate: 0.2})
 	cfg := faultCfg(2, LamellaeShmem, plan)
-	cfg.Telemetry = true
 	var prom strings.Builder
-	var report StatsReport
+	var stats Stats
 	err := Run(cfg, func(w *World) {
 		// Many small flushed rounds, not one aggregated burst: each WaitAll
 		// forces the round's data frames onto the wire, so the 20% plan is
@@ -259,8 +258,8 @@ func TestWireCountersInTelemetryAndProm(t *testing.T) {
 		}
 		w.Barrier()
 		if w.MyPE() == 0 {
-			report = w.StatsReport()
-			if err := telemetry.C().WritePrometheus(&prom); err != nil {
+			stats = w.Stats()
+			if err := w.WritePrometheus(&prom); err != nil {
 				panic(err)
 			}
 		}
@@ -269,20 +268,29 @@ func TestWireCountersInTelemetryAndProm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if telemetry.Enabled() {
+		t.Fatal("test must run without a telemetry session")
+	}
 	if got := testCounter.Load(); got != 400 {
 		t.Errorf("counter = %d, want 400", got)
 	}
-	if report.WireFaultsInjected == 0 || report.WireRetries == 0 {
-		t.Errorf("StatsReport wire counters empty: injected=%d retx=%d",
-			report.WireFaultsInjected, report.WireRetries)
+	if stats.WireFaultsInjected == 0 || stats.WireRetries == 0 {
+		t.Errorf("Stats wire counters empty: injected=%d retx=%d",
+			stats.WireFaultsInjected, stats.WireRetries)
 	}
-	if !strings.Contains(report.String(), "wire(") {
+	if !strings.Contains(stats.String(), "wire(") {
 		t.Error("Stats.String() lacks the wire(...) segment")
 	}
-	dump := prom.String()
-	for _, kind := range []string{"wire.fault", "wire.retry"} {
-		if !strings.Contains(dump, `kind="`+kind+`"`) {
-			t.Errorf("prometheus dump lacks lamellar_events_total kind=%q", kind)
+	samples, _ := parseProm(t, prom.String())
+	for _, fam := range []string{"lamellar_wire_retries_total", "lamellar_wire_faults_injected_total"} {
+		var sum float64
+		for _, s := range samples {
+			if s.name == fam {
+				sum += s.value
+			}
+		}
+		if sum == 0 {
+			t.Errorf("prometheus dump has no non-zero %s series", fam)
 		}
 	}
 }

@@ -130,13 +130,13 @@ func TestWatchdogDetectsPartitionStall(t *testing.T) {
 			// to cross it and flag on several consecutive ticks.
 			deadline := time.Now().Add(3 * time.Second)
 			for time.Now().Before(deadline) {
-				h := w.Health()
+				h := w.Stats().Health
 				if h[telemetry.HealthFutureStall] > 0 || h[telemetry.HealthBacklogGrowth] > 0 {
 					break
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
-			h := w.Health()
+			h := w.Stats().Health
 			flagged = h[telemetry.HealthFutureStall] + h[telemetry.HealthBacklogGrowth]
 			plan.Heal(0, 1, true)
 			if _, err := BlockOn(w, fut); err != nil {

@@ -271,9 +271,8 @@ type relLamellae struct {
 	backoffMax    time.Duration
 	deliveryTO    time.Duration // <= 0: never give up
 
-	// Flow-control configuration (Config.Wire*, env LAMELLAR_WIRE_*).
-	windowFrames int   // frame-window cap; 0 disables windowing
-	windowBytes  int   // byte-window cap at full frame window
+	// Flow-control configuration (Config.Wire*).
+	windowFrames int   // frame-window cap
 	ackEvery     int   // coalesce: ack after K in-order deliveries
 	ackHoldoffNs int64 // coalesce: or after this holdoff, whichever first
 	oooWindow    uint64
@@ -298,6 +297,10 @@ type relLamellae struct {
 const (
 	minWindowFrames = 8
 	minWindowBytes  = 64 << 10
+	// windowBytes is the in-flight byte cap at full frame window: 256
+	// max-size batch frames, so the byte budget binds only when frames
+	// are large and the frame window governs otherwise.
+	windowBytes = 16 << 20
 )
 
 func newRelLamellae(cfg Config, deliver deliverFn, giveUp undeliverableFn) *relLamellae {
@@ -310,10 +313,10 @@ func newRelLamellae(cfg Config, deliver deliverFn, giveUp undeliverableFn) *relL
 		retryInterval: cfg.RetryInterval,
 		backoffMax:    cfg.RetryBackoffMax,
 		deliveryTO:    cfg.DeliveryTimeout,
-		windowFrames:  cfg.WireWindowFrames,
-		windowBytes:   cfg.WireWindowBytes,
+		windowFrames:  max(cfg.WireWindowFrames, minWindowFrames),
 		ackEvery:      cfg.WireAckEvery,
 		ackHoldoffNs:  cfg.WireAckHoldoff.Nanoseconds(),
+		oooWindow:     uint64(cfg.WireOOOWindow),
 		rtoMinNs:      cfg.WireRTOMin.Nanoseconds(),
 		pairs:         make([][]*relPair, npes),
 		recv:          make([][]*relRecv, npes),
@@ -321,23 +324,11 @@ func newRelLamellae(cfg Config, deliver deliverFn, giveUp undeliverableFn) *relL
 		drainKick:     make(chan struct{}, 1),
 		stop:          make(chan struct{}),
 	}
-	if r.windowFrames <= 0 {
-		r.windowFrames, r.windowBytes = 0, 0 // windowing disabled
-	} else {
-		r.windowFrames = max(r.windowFrames, minWindowFrames)
-		r.windowBytes = max(r.windowBytes, minWindowBytes)
-	}
-	if cfg.WireOOOWindow > 0 {
-		r.oooWindow = uint64(cfg.WireOOOWindow)
-	}
 	for pe := 0; pe < npes; pe++ {
 		r.pairs[pe] = make([]*relPair, npes)
 		r.recv[pe] = make([]*relRecv, npes)
 		for d := 0; d < npes; d++ {
-			p := &relPair{}
-			if r.windowFrames > 0 {
-				p.win = newSendWindow(minWindowFrames, r.windowFrames)
-			}
+			p := &relPair{win: newSendWindow(minWindowFrames, r.windowFrames)}
 			r.pairs[pe][d] = p
 			r.recv[pe][d] = &relRecv{}
 		}
@@ -361,9 +352,6 @@ func (r *relLamellae) name() LamellaeKind { return r.inner.name() }
 // admitted so an oversized frame cannot stall forever. Caller holds p.mu.
 func (r *relLamellae) admitLocked(p *relPair, frameLen int) bool {
 	capF := r.windowFrames
-	if capF == 0 {
-		return true // windowing disabled
-	}
 	inflight := len(p.unacked)
 	if inflight == 0 {
 		return true
@@ -376,7 +364,7 @@ func (r *relLamellae) admitLocked(p *relPair, frameLen int) bool {
 		return false
 	}
 	// Byte budget scales with the frame window: cwnd/capF of the byte cap.
-	budget := int(int64(r.windowBytes) * int64(cwnd) / int64(capF))
+	budget := int(int64(windowBytes) * int64(cwnd) / int64(capF))
 	if budget < minWindowBytes {
 		budget = minWindowBytes
 	}
@@ -458,7 +446,7 @@ func (r *relLamellae) send(src, dst int, msg []byte) error {
 	// Backpressure: block while the parked queue exceeds the window cap.
 	// Acks arrive via transport goroutines that never take p.mu, so the
 	// drain goroutine can always free space and wake us.
-	for r.windowFrames > 0 && len(p.pending) > r.windowFrames {
+	for len(p.pending) > r.windowFrames {
 		if p.wake == nil {
 			p.wake = make(chan struct{})
 		}
@@ -492,7 +480,7 @@ func (r *relLamellae) drainPairLocked(p *relPair, src, dst int, nowNs int64) {
 	if i > 0 {
 		p.pending = append(p.pending[:0], p.pending[i:]...)
 	}
-	if p.wake != nil && (r.windowFrames == 0 || len(p.pending) <= r.windowFrames) {
+	if p.wake != nil && len(p.pending) <= r.windowFrames {
 		close(p.wake)
 		p.wake = nil
 	}
@@ -601,9 +589,7 @@ func (r *relLamellae) pruneLocked(p *relPair, src int) {
 	}
 	if i > 0 {
 		p.unacked = append(p.unacked[:0], p.unacked[i:]...)
-		if r.windowFrames > 0 {
-			p.win.onAck(i, r.windowFrames)
-		}
+		p.win.onAck(i, r.windowFrames)
 	}
 	if sampled {
 		p.rtoNs.Store(p.est.rto(r.rtoMinNs, r.backoffMax.Nanoseconds()))
@@ -771,7 +757,7 @@ func (r *relLamellae) onDeliver(dst, src int, ref slab.Ref, msg []byte) {
 		r.kickDrain()
 		return
 	case seq > next:
-		if r.oooWindow > 0 && seq >= next+r.oooWindow {
+		if seq >= next+r.oooWindow {
 			// Beyond the reorder window: drop rather than buffer, keeping
 			// receiver memory flat under sustained reordering. The
 			// sender's repair path re-sends the frame once the gap closes.
@@ -1105,9 +1091,7 @@ func (r *relLamellae) sweepPair(src, dst int, nowNs int64) {
 		}
 		fr.deadlineNs = nowNs + fr.backoffNs
 		fr.sentNs = nowNs
-		if r.windowFrames > 0 {
-			p.win.onLoss(fr.seq, p.nextSeq)
-		}
+		p.win.onLoss(fr.seq, p.nextSeq)
 		r.counters[src].retries.Add(1)
 		r.emitWire(telemetry.EvWireRetry, src, int64(dst), int64(fr.seq), 0)
 		r.transmit(src, dst, fr.buf, fr.seq)

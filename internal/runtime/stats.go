@@ -13,7 +13,10 @@ import (
 )
 
 // Stats reports one PE's runtime activity; useful for tuning aggregation
-// and verifying communication patterns in tests and benchmarks.
+// and verifying communication patterns in tests and benchmarks. It is
+// the runtime's one counter store: diagnostic dumps embed it and
+// World.WritePrometheus exports it (through statCounters), with latency
+// histograms coming from the flight recorder.
 type Stats struct {
 	// PE is the reporting PE.
 	PE int
@@ -67,15 +70,54 @@ type Stats struct {
 	WireOOODropped     uint64
 	// Fabric is this PE's traffic counters (messages, bytes, modeled ns).
 	Fabric fabric.Counters
+	// Health tallies the stall watchdog's findings on this PE by kind
+	// (all zero when the watchdog is disabled or never flagged).
+	Health HealthCounts
+}
+
+// statCounters names every scalar Stats counter for the Prometheus
+// export (as lamellar_<name>_total, one series per PE). The per-reason
+// flush splits and Health are exported as labeled families beside them.
+var statCounters = [...]struct {
+	name, help string
+	value      func(*Stats) float64
+}{
+	{"ams_issued", "AMs this PE launched.", func(s *Stats) float64 { return float64(s.Issued) }},
+	{"ams_completed", "AMs launched by this PE that finished.", func(s *Stats) float64 { return float64(s.Completed) }},
+	{"envelopes_sent", "Envelopes enqueued for remote delivery.", func(s *Stats) float64 { return float64(s.EnvelopesSent) }},
+	{"envelopes_processed", "Remote envelopes fully handled here.", func(s *Stats) float64 { return float64(s.EnvelopesProcessed) }},
+	{"pool_tasks_executed", "Executor tasks run.", func(s *Stats) float64 { return float64(s.PoolExecuted) }},
+	{"pool_tasks_stolen", "Executor tasks obtained by stealing.", func(s *Stats) float64 { return float64(s.PoolStolen) }},
+	{"pool_parks", "Executor worker park episodes.", func(s *Stats) float64 { return float64(s.PoolParks) }},
+	{"pool_busy_seconds", "Accumulated executor task run time.", func(s *Stats) float64 { return s.PoolBusy.Seconds() }},
+	{"batches_sent", "Aggregated envelope batches put on the wire.", func(s *Stats) float64 { return float64(s.BatchesSent) }},
+	{"agg_batches_flushed", "Array element-op buffers dispatched.", func(s *Stats) float64 { return float64(s.AggBatchesFlushed) }},
+	{"agg_ops_coalesced", "Array element ops coalesced into buffers.", func(s *Stats) float64 { return float64(s.AggOpsCoalesced) }},
+	{"wire_retries", "Reliable-wire frame retransmissions.", func(s *Stats) float64 { return float64(s.WireRetries) }},
+	{"wire_timeouts", "Frames abandoned after the delivery timeout.", func(s *Stats) float64 { return float64(s.WireTimeouts) }},
+	{"wire_dup_dropped", "Redelivered frames discarded by the receiver.", func(s *Stats) float64 { return float64(s.WireDupDropped) }},
+	{"wire_out_of_order", "Frames buffered awaiting a sequence gap.", func(s *Stats) float64 { return float64(s.WireOutOfOrder) }},
+	{"wire_ooo_dropped", "Frames dropped beyond the receiver's reorder window.", func(s *Stats) float64 { return float64(s.WireOOODropped) }},
+	{"wire_acks_sent", "Standalone cumulative-ack frames sent.", func(s *Stats) float64 { return float64(s.WireAcksSent) }},
+	{"wire_acks_coalesced", "Per-frame acks avoided by coalescing and piggybacking.", func(s *Stats) float64 { return float64(s.WireAcksCoalesced) }},
+	{"wire_parked", "Frames parked by the AIMD send window.", func(s *Stats) float64 { return float64(s.WireParked) }},
+	{"wire_faults_injected", "Fault-plan injections on this PE's sends.", func(s *Stats) float64 { return float64(s.WireFaultsInjected) }},
+	{"fabric_msgs", "Fabric messages initiated.", func(s *Stats) float64 { return float64(s.Fabric.Msgs) }},
+	{"fabric_bytes", "Fabric payload bytes initiated.", func(s *Stats) float64 { return float64(s.Fabric.Bytes) }},
+	{"fabric_barriers", "Barrier episodes.", func(s *Stats) float64 { return float64(s.Fabric.Barriers) }},
+	{"fabric_modeled_seconds", "Modeled network time of this PE's fabric ops.", func(s *Stats) float64 { return float64(s.Fabric.ModeledNs) / 1e9 }},
 }
 
 // Stats snapshots the calling PE's runtime counters.
 func (w *World) Stats() Stats {
+	// completed is loaded before issued: every completion follows its
+	// issue, so this order can never show completed > issued.
+	completed := w.completed.Load()
 	exec, stolen, parks, busy := w.pool.Stats()
 	s := Stats{
 		PE:                 w.pe,
 		Issued:             w.issued.Load(),
-		Completed:          w.completed.Load(),
+		Completed:          completed,
 		EnvelopesSent:      w.envSent.Load(),
 		EnvelopesProcessed: w.envProcessed.Load(),
 		PoolExecuted:       exec,
@@ -102,6 +144,11 @@ func (w *World) Stats() Stats {
 		s.WireParked = wc.parked.Load()
 		s.WireAcksCoalesced = wc.acksCoalesced.Load()
 		s.WireOOODropped = wc.oooDropped.Load()
+	}
+	if d := w.env.dog; d != nil {
+		for k := range s.Health {
+			s.Health[k] = d.counts[w.pe][k].Load()
+		}
 	}
 	return s
 }
@@ -137,39 +184,6 @@ func (s Stats) String() string {
 		s.Fabric.Msgs, s.Fabric.Bytes, time.Duration(s.Fabric.ModeledNs))
 }
 
-// StatsReport extends Stats with the telemetry subsystem's latency
-// percentiles. With no active telemetry session the summaries are zero
-// (Count 0) and the embedded counters are still valid.
-type StatsReport struct {
-	Stats
-	// AMRoundTrip digests issue→resolution latency of return-style AMs.
-	AMRoundTrip telemetry.HistSummary
-	// QueueWait digests submit→start latency of pool tasks.
-	QueueWait telemetry.HistSummary
-	// FlushInterval digests the open→flush age of wire batches.
-	FlushInterval telemetry.HistSummary
-	// TraceDropped counts telemetry events lost to ring contention.
-	TraceDropped uint64
-}
-
-// StatsReport snapshots the PE's counters plus, when telemetry is
-// active, its latency histogram summaries.
-func (w *World) StatsReport() StatsReport {
-	r := StatsReport{Stats: w.Stats()}
-	if c := telemetry.C(); c != nil && w.pe < c.NumPEs() {
-		r.AMRoundTrip = c.Hist(w.pe, telemetry.HistAMRoundTrip).Summary()
-		r.QueueWait = c.Hist(w.pe, telemetry.HistQueueWait).Summary()
-		r.FlushInterval = c.Hist(w.pe, telemetry.HistFlushInterval).Summary()
-		r.TraceDropped = c.Dropped(w.pe)
-	}
-	return r
-}
-
-func (r StatsReport) String() string {
-	return fmt.Sprintf("%s\n  am_round_trip: %v\n  task_queue_wait: %v\n  flush_interval: %v",
-		r.Stats, r.AMRoundTrip, r.QueueWait, r.FlushInterval)
-}
-
 // ApplyEnv overlays LAMELLAR_* environment variables onto a Config,
 // mirroring the runtime knobs the Rust implementation reads from the
 // environment:
@@ -179,8 +193,9 @@ func (r StatsReport) String() string {
 //	LAMELLAR_OP_BATCH    array-operation sub-batch size
 //	LAMELLAR_LAMELLAE    sim | shmem | smp
 //	LAMELLAR_RING_SLOTS  descriptor ring depth (sim lamellae)
-//	LAMELLAR_TRACE       1/true enables the telemetry subsystem
-//	                     (lifecycle tracing, histograms, gauges)
+//	LAMELLAR_TRACE       1/true enables a telemetry session
+//	                     (lifecycle event rings and gauges; counters
+//	                     and histograms are always on)
 //	LAMELLAR_TRACE_OUT   path for the Chrome trace-event JSON timeline
 //	                     written at world shutdown (implies telemetry on);
 //	                     open it in Perfetto (ui.perfetto.dev)
@@ -218,22 +233,8 @@ func (r StatsReport) String() string {
 //	LAMELLAR_DELIVERY_TIMEOUT_MS  per-frame delivery give-up bound in ms
 //	                           (negative disables: retry forever)
 //
-// Wire flow-control knobs (read in withDefaults, so they reach every
-// world in the process; see the README's wire flow-control table):
-//
-//	LAMELLAR_WIRE_WINDOW         AIMD send-window frame cap per
-//	                             (src,dst) stream (default 256;
-//	                             negative disables windowing)
-//	LAMELLAR_WIRE_WINDOW_BYTES   send-window byte cap (default 16 MiB)
-//	LAMELLAR_WIRE_ACK_EVERY      deliveries per forced cumulative ack
-//	                             (default 4; 1 acks every frame)
-//	LAMELLAR_WIRE_ACK_HOLDOFF_US max delay before an owed ack is sent
-//	                             standalone, in µs (default 250)
-//	LAMELLAR_WIRE_OOO            receiver reorder-buffer bound in frames
-//	                             (default 1024; negative disables)
-//	LAMELLAR_WIRE_RTO_MIN_US     floor for the RTT-adaptive
-//	                             retransmission timeout, in µs
-//	                             (default 500)
+// The wire flow-control settings (Config.Wire*) have no environment
+// form.
 func (c Config) ApplyEnv() Config {
 	if v, ok := envInt("LAMELLAR_THREADS"); ok {
 		c.WorkersPerPE = v

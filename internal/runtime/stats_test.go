@@ -3,6 +3,8 @@ package runtime
 import (
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -31,6 +33,52 @@ func TestStatsCounters(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A snapshot taken while AMs complete must never show more completions
+// than issues: Stats loads completed before issued, and every completion
+// follows its issue. One goroutine issues self-AMs in groups of four
+// (so issued−completed is usually 0 and an AM can issue and complete
+// between two loads) while another polls; with the loads in the other
+// order this fails within a few thousand AMs. Run it under -race too.
+func TestStatsCompletedNeverExceedsIssued(t *testing.T) {
+	var polls, bad atomic.Uint64
+	var first atomic.Value // Stats of the first bad snapshot
+	err := Run(Config{PEs: 1, WorkersPerPE: 1}, func(w *World) {
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				s := w.Stats()
+				polls.Add(1)
+				if s.Completed > s.Issued && bad.Add(1) == 1 {
+					first.Store(s)
+				}
+			}
+		}()
+		for i := 0; i < 100_000; i++ {
+			w.ExecAM(0, &incrAM{Delta: 1})
+			if i%4 == 0 {
+				w.WaitAll()
+			}
+		}
+		w.WaitAll()
+		stop.Store(true)
+		wg.Wait()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polls.Load() == 0 {
+		t.Fatal("poller took no snapshots")
+	}
+	if n := bad.Load(); n > 0 {
+		s := first.Load().(Stats)
+		t.Fatalf("%d of %d snapshots show completed > issued, first: completed=%d issued=%d",
+			n, polls.Load(), s.Completed, s.Issued)
 	}
 }
 

@@ -10,15 +10,16 @@ import (
 )
 
 // TestTelemetryEndToEnd runs a two-PE world with the telemetry subsystem
-// on: lifecycle events must land in the rings, StatsReport must surface
-// latency summaries, and the timeline written at shutdown must be valid
-// Chrome trace JSON.
+// on: lifecycle events must land in the rings, the flight recorder must
+// hold the latency digests (every task stamped under a session), and the
+// timeline written at shutdown must be valid Chrome trace JSON.
 func TestTelemetryEndToEnd(t *testing.T) {
 	testCounter.Store(0)
 	path := filepath.Join(t.TempDir(), "timeline.json")
 	cfg := Config{PEs: 2, WorkersPerPE: 2, Lamellae: LamellaeSim,
 		Telemetry: true, TraceOut: path}
-	var report StatsReport
+	var report Stats
+	var snap DiagSnapshot
 	err := Run(cfg, func(w *World) {
 		if w.MyPE() == 0 {
 			for i := 0; i < 200; i++ {
@@ -31,7 +32,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		w.WaitAll()
 		w.Barrier()
 		if w.MyPE() == 0 {
-			report = w.StatsReport()
+			report = w.Stats()
+			snap = w.DiagSnapshot()
 		}
 		w.Barrier()
 	})
@@ -55,14 +57,15 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if reasons != report.BatchesSent {
 		t.Errorf("flush reasons sum to %d, batches sent %d", reasons, report.BatchesSent)
 	}
-	if report.AMRoundTrip.Count == 0 {
-		t.Error("no AM round-trip latency recorded")
+	hists := snap.Recorder.PEs[0].Hists
+	if hists["am_round_trip_ns"].Count != 1 {
+		t.Errorf("AM round trips recorded = %d, want 1", hists["am_round_trip_ns"].Count)
 	}
-	if report.QueueWait.Count == 0 {
+	if hists["task_queue_wait_ns"].Count == 0 {
 		t.Error("no task queue-wait latency recorded")
 	}
-	if report.FlushInterval.Count == 0 {
-		t.Error("no flush-interval latency recorded")
+	if hists["batch_age_ns"].Count == 0 {
+		t.Error("no batch-age latency recorded")
 	}
 
 	raw, err := os.ReadFile(path)
@@ -88,38 +91,52 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTelemetryDisabledIsInert checks the default path: no session, no
-// events, StatsReport still returns valid counters with empty summaries.
+// TestTelemetryDisabledIsInert checks the default path: no session and
+// so no event rings, while the always-on surfaces still work — the
+// diagnostic snapshot carries Stats counters and non-empty recorder
+// digests.
 func TestTelemetryDisabledIsInert(t *testing.T) {
 	testCounter.Store(0)
-	var report StatsReport
+	var snap DiagSnapshot
+	var rings bool
 	err := Run(Config{PEs: 2, WorkersPerPE: 1, Lamellae: LamellaeSim}, func(w *World) {
 		if w.MyPE() == 0 {
 			for i := 0; i < 50; i++ {
 				w.ExecAM(1, &incrAM{Delta: 1})
 			}
+			for i := 0; i < 5; i++ {
+				if _, err := BlockOn(w, w.ExecAMReturn(1, &echoAM{X: 1})); err != nil {
+					panic(err)
+				}
+			}
 		}
 		w.WaitAll()
 		w.Barrier()
 		if w.MyPE() == 0 {
-			report = w.StatsReport()
+			snap = w.DiagSnapshot()
+			rings = telemetry.C() != nil
 		}
 		w.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if telemetry.Enabled() {
-		t.Fatal("telemetry enabled without being configured")
+	if telemetry.Enabled() || rings {
+		t.Fatal("telemetry session (event rings) live without being configured")
 	}
-	if report.Issued != 50 {
-		t.Errorf("issued = %d", report.Issued)
+	s := snap.Worlds[0].Stats
+	if s.Issued != 55 || s.Completed != 55 {
+		t.Errorf("snapshot ams = %d/%d, want 55/55", s.Completed, s.Issued)
 	}
-	if report.BatchesSent == 0 {
+	if s.BatchesSent == 0 {
 		t.Error("batch counters must work without telemetry")
 	}
-	if report.AMRoundTrip.Count != 0 || report.TraceDropped != 0 {
-		t.Errorf("summaries must be empty without telemetry: %+v", report)
+	hists := snap.Recorder.PEs[0].Hists
+	if rt := hists["am_round_trip_ns"]; rt.Count != 5 || rt.P50Ns <= 0 {
+		t.Errorf("round-trip digest without a session = %+v, want 5 samples", rt)
+	}
+	if hists["batch_age_ns"].Count == 0 {
+		t.Error("batch-age digest empty without a session")
 	}
 }
 

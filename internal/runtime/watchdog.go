@@ -22,7 +22,7 @@ import (
 //   - a monotonically growing unacked reliable-wire backlog (the
 //     signature of a partitioned or severely degraded link).
 //
-// Each flag bumps a per-PE health counter (World.Health), emits a
+// Each flag bumps a per-PE health counter (Stats.Health), emits a
 // health.* telemetry event when a session is live, and reports through
 // the diag logger (rate-limited: the first few occurrences per PE and
 // kind, then every 16th). The backlog sweep doubles as the sampler that
@@ -208,18 +208,6 @@ func (h HealthCounts) Total() uint64 {
 		t += n
 	}
 	return t
-}
-
-// Health snapshots this PE's watchdog health counters (all zero when
-// the watchdog is disabled or nothing was ever flagged).
-func (w *World) Health() HealthCounts {
-	var h HealthCounts
-	if d := w.env.dog; d != nil {
-		for k := range h {
-			h[k] = d.counts[w.pe][k].Load()
-		}
-	}
-	return h
 }
 
 // oldestOutstanding reports the oldest outstanding return-style request

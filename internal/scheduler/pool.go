@@ -75,9 +75,9 @@ type Pool struct {
 
 	tracePE atomic.Int32 // PE label for telemetry events
 
-	// qwaitHist, when set, receives queue-wait samples even without a
-	// telemetry session (the always-on flight recorder). qwaitTick
-	// drives the 1-in-64 sampling of spawn timestamps on that path.
+	// qwaitHist, when set, receives queue-wait samples (the always-on
+	// flight recorder's digest). qwaitTick drives the 1-in-64 sampling
+	// of spawn timestamps when no telemetry session stamps every task.
 	qwaitHist atomic.Pointer[telemetry.Histogram]
 	qwaitTick atomic.Uint64
 
@@ -134,10 +134,10 @@ func (p *Pool) Workers() int { return p.workers }
 // PE's rank (pools default to PE 0).
 func (p *Pool) SetTelemetryPE(pe int) { p.tracePE.Store(int32(pe)) }
 
-// SetQueueWaitRecorder routes queue-wait latencies into h even when no
-// telemetry session is live. To keep the disabled hot path at zero
-// extra clock reads, only 1 in 64 submissions is stamped on that path;
-// a live session stamps (and records) every task as before.
+// SetQueueWaitRecorder routes queue-wait latencies into h, the pool's
+// only queue-wait histogram. To keep the untraced hot path at zero extra
+// clock reads, only 1 in 64 submissions is stamped there; a live
+// telemetry session stamps every task, so h then sees them all.
 func (p *Pool) SetQueueWaitRecorder(h *telemetry.Histogram) {
 	p.qwaitHist.Store(h)
 }
@@ -468,18 +468,12 @@ func (p *Pool) runTask(t taskEntry, worker int) {
 			t0 = c.Now()
 		}
 	}
-	if t.spawnNs != 0 {
+	if h := p.qwaitHist.Load(); h != nil && t.spawnNs != 0 {
 		now := t0
 		if now == 0 {
 			now = telemetry.MonoNow()
 		}
-		wait := now - t.spawnNs
-		if c != nil {
-			c.Hist(int(p.tracePE.Load()), telemetry.HistQueueWait).Record(wait)
-		}
-		if h := p.qwaitHist.Load(); h != nil {
-			h.Record(wait)
-		}
+		h.Record(now - t.spawnNs)
 	}
 	defer func() {
 		p.executed.Add(1)

@@ -130,7 +130,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max.Load()
 }
 
-// HistSummary is the percentile digest surfaced by runtime.StatsReport.
+// HistSummary is a histogram's count and percentile-bound digest.
 type HistSummary struct {
 	Count uint64
 	Mean  time.Duration

@@ -1,22 +1,25 @@
-// Package recorder is the runtime's always-on flight recorder: a
-// fixed-footprint set of per-PE log2 latency histograms and backlog
-// gauges that run for the whole process lifetime, whether or not a
-// telemetry session (event rings, timeline export) is active.
+// Package recorder is the runtime's always-on flight recorder and the
+// only home of its latency histograms: a fixed-footprint set of per-PE
+// log2 histograms and backlog gauges that run for the whole process
+// lifetime, whether or not a telemetry session (event rings, timeline
+// export) is active.
 //
-// The telemetry subsystem answers "what happened during this traced
+// A telemetry session answers "what happened during this traced
 // window"; the recorder answers "what has this runtime been doing" at
 // any moment, with no event-ring cost: every record is a handful of
 // atomic adds into pre-allocated arrays — no allocation, no locks, no
 // time syscalls beyond the one stamp the caller already took.
 //
-// Three consumers read it:
+// Its consumers:
 //
 //   - the reliable wire seeds cold streams' retransmission timeout from
 //     the wire round-trip digest;
 //   - the stall watchdog derives its "N× p99" stall thresholds from the
 //     round-trip histogram;
 //   - diagnostic dumps (World.WriteDiagnostics, the LAMELLAR_DIAG
-//     signal) export a structured JSON Snapshot.
+//     signal) export a structured JSON Snapshot;
+//   - World.WritePrometheus exports every histogram as cumulative
+//     buckets, with the backlog gauge.
 package recorder
 
 import (

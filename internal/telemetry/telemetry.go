@@ -1,10 +1,15 @@
 // Package telemetry is the runtime's zero-dependency, env-gated tracing
-// and metrics subsystem. It records timestamped lifecycle events — task
+// subsystem. A session records timestamped lifecycle events — task
 // spawn/run/steal (scheduler), AM issue/encode/execute/return (runtime),
-// aggregation batch open/flush with flush reasons (array layer), and
-// fabric op spans with byte counts — into per-PE lock-free ring buffers,
-// plus log-bucketed latency histograms (AM round trip, task queue wait,
-// aggregation flush interval) and periodic queue-depth gauges.
+// aggregation batch open/flush with flush reasons (array layer), fabric
+// op spans with byte counts, and periodic queue-depth gauges — into
+// per-PE lock-free ring buffers.
+//
+// A session holds only those rings. Counters live in runtime.Stats and
+// latency histograms in the always-on flight recorder
+// (internal/telemetry/recorder), which record whether or not a session
+// is live; this package supplies their Histogram type and the shared
+// MonoNow clock.
 //
 // The disabled path is a single branch on a package-level atomic
 // (Enabled()): no allocation, no time syscalls, no pointer chase. All
@@ -15,16 +20,13 @@
 //	    ...
 //	}
 //
-// Collected data exports as Chrome trace-event JSON (loadable in
-// Perfetto with one track per PE×worker — see WriteChromeTrace), a
-// Prometheus-style text dump (WritePrometheus), and histogram summaries
-// consumed by runtime.StatsReport.
+// Collected events export as Chrome trace-event JSON (loadable in
+// Perfetto with one track per PE×worker — see WriteChromeTrace).
 //
-// Concurrency contract: Emit and histogram/counter recording are safe
-// from any goroutine at any time. Ring snapshots and the exporters must
-// run at a quiescent point (after runtime.Run returned, or with the
-// world at a barrier) — a ring writer lapping a concurrent reader would
-// otherwise race on slot payloads.
+// Concurrency contract: Emit is safe from any goroutine at any time.
+// Ring snapshots and the exporter must run at a quiescent point (after
+// runtime.Run returned, or with the world at a barrier) — a ring writer
+// lapping a concurrent reader would otherwise race on slot payloads.
 package telemetry
 
 import (
@@ -262,20 +264,6 @@ var spanIDs atomic.Uint64
 // NewSpanID returns a fresh process-unique span id.
 func NewSpanID() uint64 { return spanIDs.Add(1) }
 
-// Histogram identifiers (per PE).
-const (
-	// HistAMRoundTrip is issue→resolution latency of return-style AMs.
-	HistAMRoundTrip = iota
-	// HistQueueWait is submit→start latency of pool tasks.
-	HistQueueWait
-	// HistFlushInterval is open→flush age of aggregation buffers.
-	HistFlushInterval
-
-	numHists
-)
-
-var histNames = [numHists]string{"am_round_trip", "task_queue_wait", "agg_flush_interval"}
-
 // procStart anchors the process-monotonic event clock. Every telemetry
 // timestamp — session events, the always-on flight recorder, AM issue
 // stamps — shares this one time base, so latencies computed across
@@ -287,16 +275,11 @@ var procStart = time.Now()
 // always-on instrumentation (the flight recorder, AM issue stamps).
 func MonoNow() int64 { return int64(time.Since(procStart)) }
 
-// Collector owns the per-PE rings, histograms, and counters of one
-// telemetry session.
+// Collector owns the per-PE event rings of one telemetry session.
 type Collector struct {
-	npes     int
-	rings    []Ring
-	hists    [][numHists]Histogram // [pe][hist]
-	evCounts []eventCounters       // [pe][kind], survives ring wraparound
+	npes  int
+	rings []Ring
 }
-
-type eventCounters [numEventKinds]atomic.Uint64
 
 // DefaultRingCap is the per-PE event-ring capacity when none is given.
 const DefaultRingCap = 1 << 16
@@ -310,12 +293,7 @@ func NewCollector(npes, ringCap int) *Collector {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
 	}
-	c := &Collector{
-		npes:     npes,
-		rings:    make([]Ring, npes),
-		hists:    make([][numHists]Histogram, npes),
-		evCounts: make([]eventCounters, npes),
-	}
+	c := &Collector{npes: npes, rings: make([]Ring, npes)}
 	for pe := range c.rings {
 		c.rings[pe].init(ringCap)
 	}
@@ -336,22 +314,7 @@ func (c *Collector) Emit(ev Event) {
 	if pe < 0 || pe >= c.npes {
 		pe = 0
 	}
-	c.evCounts[pe][ev.Kind].Add(1)
 	c.rings[pe].push(ev)
-}
-
-// Hist returns PE pe's histogram id (see the Hist* constants).
-func (c *Collector) Hist(pe, id int) *Histogram {
-	if pe < 0 || pe >= c.npes {
-		pe = 0
-	}
-	return &c.hists[pe][id]
-}
-
-// EventCount reports how many events of kind were emitted on pe over the
-// whole session, including events the ring has since overwritten.
-func (c *Collector) EventCount(pe int, kind EventKind) uint64 {
-	return c.evCounts[pe][kind].Load()
 }
 
 // Dropped reports events lost to ring-writer contention on pe.

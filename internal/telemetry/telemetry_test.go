@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -133,18 +132,20 @@ func TestRingConcurrentPush(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	// 40000 pushes lap the 1024-slot ring many times over: every slot
+	// ends up published, and a contention drop never loses a whole slot
+	// (a writer only drops while another holds it).
 	events := c.Events(0)
-	if len(events) == 0 || len(events) > 1<<10 {
-		t.Fatalf("snapshot len = %d", len(events))
+	if len(events) != 1<<10 {
+		t.Fatalf("snapshot len = %d, want %d (every slot published after wraparound)", len(events), 1<<10)
 	}
-	if got := c.EventCount(0, EvTaskSpawn); got != writers*per {
-		t.Errorf("event count = %d, want %d (counts survive wraparound)", got, writers*per)
-	}
-	// Every surviving slot holds a real payload from some writer.
+	// Every surviving slot holds a distinct real payload from some writer.
+	seen := make(map[int64]bool, len(events))
 	for _, ev := range events {
-		if ev.TS < 0 || ev.TS >= writers*per {
-			t.Errorf("snapshot holds corrupt event TS=%d", ev.TS)
+		if ev.Kind != EvTaskSpawn || ev.TS < 0 || ev.TS >= writers*per || seen[ev.TS] {
+			t.Errorf("snapshot holds corrupt or repeated event %+v", ev)
 		}
+		seen[ev.TS] = true
 	}
 }
 
@@ -152,8 +153,11 @@ func TestCollectorPEClamp(t *testing.T) {
 	c := NewCollector(2, 16)
 	c.Emit(Event{TS: 1, Kind: EvTaskSpawn, PE: 99})
 	c.Emit(Event{TS: 2, Kind: EvTaskSpawn, PE: -3})
-	if got := c.EventCount(0, EvTaskSpawn); got != 2 {
-		t.Errorf("clamped events on PE0 = %d, want 2", got)
+	if got := c.Events(0); len(got) != 2 || got[0].TS != 1 || got[1].TS != 2 {
+		t.Errorf("clamped events on PE0 = %+v, want TS 1 and 2", got)
+	}
+	if got := c.Events(1); len(got) != 0 {
+		t.Errorf("PE1 ring holds %d events, want 0", len(got))
 	}
 }
 
@@ -255,30 +259,5 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("trace output is not deterministic")
-	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	c := goldenCollector()
-	c.Hist(0, HistAMRoundTrip).Record(1500)
-	c.Hist(0, HistAMRoundTrip).Record(3000)
-	c.Hist(1, HistQueueWait).Record(0)
-	var buf bytes.Buffer
-	if err := c.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`lamellar_events_total{pe="0",kind="task.run"} 1`,
-		`lamellar_events_total{pe="1",kind="am.exec"} 1`,
-		`lamellar_trace_dropped_total{pe="0"} 0`,
-		`# TYPE lamellar_am_round_trip_seconds histogram`,
-		`lamellar_am_round_trip_seconds_count{pe="0"} 2`,
-		`lamellar_am_round_trip_seconds_bucket{pe="0",le="+Inf"} 2`,
-		`lamellar_task_queue_wait_seconds_count{pe="1"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus dump missing %q:\n%s", want, out)
-		}
 	}
 }
